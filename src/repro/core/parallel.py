@@ -62,7 +62,7 @@ from types import SimpleNamespace
 from repro.core.batch import run_fastpath_batch
 from repro.core.faults import FaultPlan
 from repro.core.kernels import MACHINE_LANES, lane_eligibility
-from repro.core.numeric import raw_fraction
+from repro.core.numeric import raw_fraction, raw_fraction_list
 from repro.core.params import AlgorithmConfig, resolve_alpha
 from repro.core.result import AlgorithmStats, CoverResult
 from repro.exceptions import ArenaTransportError, WorkerResultError
@@ -419,8 +419,9 @@ def partition_shards(
 # instance that dominates the merge.  Workers therefore ship results as
 # flat tuples of already-canonical ``(numerator, denominator)`` int
 # pairs, and the parent rebuilds Fractions through the no-gcd
-# :func:`repro.core.numeric.raw_fraction` slot path (~2x faster end to
-# end, and smaller on the wire).  Certificates (present only with
+# :func:`repro.core.numeric.raw_fraction` slot path — the dual packing
+# in one :func:`~repro.core.numeric.raw_fraction_list` pass (~2x faster
+# end to end, and smaller on the wire).  Certificates (present only with
 # ``verify=True``) pickle natively: correctness infrastructure is not
 # worth a bespoke encoding.
 # ----------------------------------------------------------------------
@@ -502,12 +503,9 @@ def _decode_result(wire: tuple, worker: int) -> CoverResult:
             epsilon=_decode_rational(epsilon),
             iterations=iterations,
             rounds=rounds,
-            dual={
-                edge_id: raw_fraction(numerator, denominator)
-                for edge_id, numerator, denominator in zip(
-                    dual_keys, dual_nums, dual_dens
-                )
-            },
+            dual=dict(
+                zip(dual_keys, raw_fraction_list(dual_nums, dual_dens))
+            ),
             dual_total=_decode_rational(dual_total),
             certificate=certificate,
             levels=levels,

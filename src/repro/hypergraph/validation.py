@@ -42,11 +42,13 @@ def require_cover(hypergraph: Hypergraph, vertices: Iterable[int]) -> set[int]:
         If some hyperedge is not covered (the first offender is named).
     """
     chosen = require_vertex_subset(hypergraph, vertices)
-    for edge_id, edge in enumerate(hypergraph.edges):
-        if not chosen.intersection(edge):
-            raise CertificateError(
-                f"hyperedge {edge_id} = {edge} is not covered by the solution"
-            )
+    edges = hypergraph.edges
+    if any(map(chosen.isdisjoint, edges)):
+        for edge_id, edge in enumerate(edges):
+            if chosen.isdisjoint(edge):
+                raise CertificateError(
+                    f"hyperedge {edge_id} = {edge} is not covered by the solution"
+                )
     return chosen
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from repro.exceptions import CertificateError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.validation import require_cover
-from repro.lp.covering_lp import Numeric, dual_feasible, dual_value, vertex_load
+from repro.lp.covering_lp import Numeric, check_packing, vertex_load
 
 __all__ = ["ApproximationCertificate", "beta_tight_vertices", "beta_for"]
 
@@ -90,19 +90,22 @@ class ApproximationCertificate:
         """Check every link of the Claim 20 chain; raise on any failure.
 
         Verifies: (1) ``cover`` is a vertex cover, (2) ``delta`` is a
-        feasible edge packing, (3) ``w(C) <= (f + eps) * sum delta``.
+        feasible edge packing — checked by
+        :func:`~repro.lp.covering_lp.check_packing` on integers over one
+        common denominator — (3) ``w(C) <= (f + eps) * sum delta``.
         Note (3) is implied by every cover vertex being beta-tight but
         is checked directly — it is the statement callers rely on.
         """
         epsilon = Fraction(epsilon)
         chosen = require_cover(hypergraph, cover)
-        if not dual_feasible(hypergraph, delta):
+        feasible, numerator, scale = check_packing(hypergraph, delta)
+        if not feasible:
             raise CertificateError(
                 "dual packing is infeasible: some vertex constraint "
                 "sum_{e in E(v)} delta(e) <= w(v) is violated"
             )
         cover_weight = Fraction(hypergraph.cover_weight(chosen))
-        total = dual_value(delta)
+        total = Fraction(numerator, scale)
         bound = Fraction(rank) + epsilon
         if hypergraph.num_edges > 0 and cover_weight > bound * total:
             raise CertificateError(

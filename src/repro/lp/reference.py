@@ -10,16 +10,10 @@ every instance the benchmarks use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.util import find_spec
 
 from repro.exceptions import InvalidInstanceError, ReproError
 from repro.hypergraph.hypergraph import Hypergraph
-
-try:  # pragma: no cover - the LP stack is an optional measurement dep
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-except ImportError:  # pragma: no cover
-    np = linprog = csr_matrix = None
 
 __all__ = [
     "fractional_optimum",
@@ -30,8 +24,9 @@ __all__ = [
 
 #: Whether the scipy-backed fractional LP solver is importable.  The
 #: exact branch-and-bound solver below is pure Python and always works;
-#: only :func:`fractional_optimum` needs the numerical stack.
-HAS_LP_SOLVER = linprog is not None
+#: only :func:`fractional_optimum` needs the numerical stack, and it
+#: imports scipy on first call — ``import repro`` never pays for it.
+HAS_LP_SOLVER = find_spec("numpy") is not None and find_spec("scipy") is not None
 
 
 def fractional_optimum(hypergraph: Hypergraph) -> float:
@@ -42,13 +37,17 @@ def fractional_optimum(hypergraph: Hypergraph) -> float:
     ``cover_weight / fractional_optimum`` upper-bounds the integrality
     gap-adjusted ratio the paper's guarantee is stated against.
     """
-    if linprog is None:
+    if not HAS_LP_SOLVER:
         raise ReproError(
             "fractional_optimum requires numpy and scipy; install the "
             "measurement extras (pip install numpy scipy)"
         )
     if hypergraph.num_edges == 0:
         return 0.0
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     rows: list[int] = []
     cols: list[int] = []
     for edge_id, edge in enumerate(hypergraph.edges):

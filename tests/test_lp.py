@@ -3,10 +3,15 @@ certificates, and reference optima."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import CertificateError, InvalidInstanceError
 from repro.hypergraph.generators import (
     complete_graph,
@@ -204,3 +209,25 @@ class TestReferenceOptima:
         result = solve_mwhvc(square, Fraction(1, 2))
         lp_value = fractional_optimum(square)
         assert float(result.dual_total) <= lp_value + 1e-6
+
+    def test_import_repro_does_not_load_scipy(self):
+        # scipy is imported by fractional_optimum on first call only:
+        # it would otherwise dominate the import time and memory of
+        # every process that loads the library.
+        environment = dict(os.environ)
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, environment.get("PYTHONPATH")])
+        )
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; print('scipy' in sys.modules)",
+            ],
+            env=environment,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.strip() == "False"
